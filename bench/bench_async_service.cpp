@@ -14,17 +14,29 @@
 // real sockets: the event-driven svc::Server — one poll(2) thread for all
 // connections — against a minimal thread-per-connection server wrapping
 // the same AsyncService, on connection churn (accept/close cost) and on
-// concurrent wire round trips.
+// concurrent wire round trips. Its second half prices the event loop on
+// cache hits, where the engine does no work and the serving path is all
+// there is: sequential round-trip p50/p99 on one connection, pipelined
+// jobs/s, connect-request-close churn, and an idle second with 1,024 open
+// connections (loop wakes and loop-thread CPU). The loop's own counters
+// (Metrics::net_loop_wakes / net_pumps) ride along as per-hit ratios —
+// machine-independent counts the CI serving-panel step gates on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <pthread.h>
+#include <sys/resource.h>
+#include <time.h>
 
 #include "bench_json.h"
 #include "svc/async_service.h"
@@ -384,6 +396,222 @@ void print_serving_panel(bench::JsonWriter& json) {
               "(the CI soak drives 10k).\n\n");
 }
 
+// ---- serving panel, part 2: the event loop on cache hits ---------------
+
+constexpr int kRoundTripHits = 2'000;
+constexpr int kPipelinedHits = 2'048;  // under the session's max_pending
+constexpr int kChurnHits = 512;
+constexpr int kIdleConnections = 1'024;
+
+/// A cheap conclusive query (3-node small-shifting safety, HOLDS): one
+/// real run, then every request is a cache hit.
+std::string hit_request() {
+  return svc::decorate_request_line(
+      R"({"authority": "small_shifting", "property": "safety", "nodes": 3})",
+      0, "hit");
+}
+
+/// CPU time consumed so far by `thread` (its per-thread clock).
+double thread_cpu_seconds(std::thread& thread) {
+  clockid_t clock{};
+  timespec ts{};
+  if (pthread_getcpuclockid(thread.native_handle(), &clock) != 0 ||
+      clock_gettime(clock, &ts) != 0) {
+    return -1.0;
+  }
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+/// The 1,024 idle connections need ~2,100 fds in this one process (both
+/// ends of every connection).
+void raise_fd_limit() {
+  rlimit lim{};
+  if (getrlimit(RLIMIT_NOFILE, &lim) == 0 && lim.rlim_cur < lim.rlim_max) {
+    lim.rlim_cur = lim.rlim_max;
+    setrlimit(RLIMIT_NOFILE, &lim);
+  }
+}
+
+double quantile(std::vector<double> samples, double q) {
+  if (samples.empty()) return -1.0;
+  std::sort(samples.begin(), samples.end());
+  const auto index = static_cast<std::size_t>(
+      q * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[std::min(index, samples.size() - 1)];
+}
+
+void print_cache_hit_panel(bench::JsonWriter& json) {
+  raise_fd_limit();
+  svc::ServerConfig config;
+  config.port = 0;
+  config.service.workers = 2;
+  svc::Server server(std::move(config));
+  std::string error;
+  if (!server.start(&error)) {
+    std::fprintf(stderr, "event-loop server failed to start: %s\n",
+                 error.c_str());
+    return;
+  }
+  std::thread runner([&server] { server.run(); });
+  const std::uint16_t port = server.port();
+  svc::Metrics& metrics = server.metrics();
+  auto connect = [port] {
+    std::string err;
+    return util::Socket::connect_to("127.0.0.1", port, 5'000, &err);
+  };
+  const std::string request = hit_request();
+  std::string row;
+  bool ok = true;
+
+  {  // warm the cache with the one real run
+    util::LineConn conn(connect());
+    ok = conn.write_line(request, 5'000) == util::LineConn::Io::kOk &&
+         conn.read_line(&row, 60'000) == util::LineConn::Io::kOk;
+  }
+
+  // Sequential round trips on one connection: the latency a client sees
+  // for an answer the server already has.
+  std::vector<double> rtt_us;
+  rtt_us.reserve(kRoundTripHits);
+  std::uint64_t pumps = 0;
+  std::uint64_t wakes = 0;
+  {
+    util::LineConn conn(connect());
+    const std::uint64_t pumps0 = metrics.net_pumps.load();
+    const std::uint64_t wakes0 = metrics.net_loop_wakes.load();
+    for (int i = 0; ok && i < kRoundTripHits; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ok = conn.write_line(request, 5'000) == util::LineConn::Io::kOk &&
+           conn.read_line(&row, 60'000) == util::LineConn::Io::kOk;
+      rtt_us.push_back(seconds_since(t0) * 1e6);
+    }
+    pumps = metrics.net_pumps.load() - pumps0;
+    wakes = metrics.net_loop_wakes.load() - wakes0;
+  }
+
+  // Pipelined: every request written before the first answer is read.
+  double pipelined_seconds = -1.0;
+  {
+    util::LineConn conn(connect());
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; ok && i < kPipelinedHits; ++i) {
+      ok = conn.write_line(request, 10'000) == util::LineConn::Io::kOk;
+    }
+    for (int i = 0; ok && i < kPipelinedHits; ++i) {
+      ok = conn.read_line(&row, 60'000) == util::LineConn::Io::kOk &&
+           row.find("\"from_cache\":1") != std::string::npos;
+    }
+    pipelined_seconds = seconds_since(t0);
+  }
+
+  // Churn: connect, one cache hit, close — a short-lived client's cost.
+  double churn_seconds = -1.0;
+  {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; ok && i < kChurnHits; ++i) {
+      util::LineConn conn(connect());
+      ok = conn.write_line(request, 5'000) == util::LineConn::Io::kOk &&
+           conn.read_line(&row, 60'000) == util::LineConn::Io::kOk;
+    }
+    churn_seconds = seconds_since(t0);
+  }
+
+  // Idle: 1,024 open connections and nothing to do for one second.
+  std::uint64_t idle_wakes = 0;
+  std::uint64_t idle_pumps = 0;
+  double idle_cpu_ms = -1.0;
+  {
+    std::vector<util::Socket> idle;
+    const std::uint64_t accepted = metrics.net_connections.load();
+    for (int i = 0; ok && i < kIdleConnections; ++i) {
+      idle.push_back(connect());
+      ok = idle.back().valid();
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ok && metrics.net_connections.load() < accepted + kIdleConnections) {
+      ok = std::chrono::steady_clock::now() < deadline;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // settle
+    const std::uint64_t wakes0 = metrics.net_loop_wakes.load();
+    const std::uint64_t pumps0 = metrics.net_pumps.load();
+    const double cpu0 = thread_cpu_seconds(runner);
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    idle_cpu_ms = (thread_cpu_seconds(runner) - cpu0) * 1e3;
+    idle_wakes = metrics.net_loop_wakes.load() - wakes0;
+    idle_pumps = metrics.net_pumps.load() - pumps0;
+  }
+
+  server.request_stop();
+  runner.join();
+  if (!ok) {
+    std::fprintf(stderr, "cache-hit panel: a client failed; no figures\n");
+    return;
+  }
+
+  const double p50 = quantile(rtt_us, 0.50);
+  const double p99 = quantile(rtt_us, 0.99);
+  const double pumps_per_hit = static_cast<double>(pumps) / kRoundTripHits;
+  const double wakes_per_hit = static_cast<double>(wakes) / kRoundTripHits;
+  const double pipelined_rate = kPipelinedHits / pipelined_seconds;
+  const double churn_rate = kChurnHits / churn_seconds;
+
+  std::printf("serving panel, cache hits: svc::Server (2 workers), %d "
+              "sequential round trips, %d pipelined, %d connect-hit-close "
+              "churns, %d idle connections for 1 s\n\n",
+              kRoundTripHits, kPipelinedHits, kChurnHits, kIdleConnections);
+  util::Table table({"measure", "value"});
+  table.add_row({"round trip p50 (us)", util::Table::num(p50, 1)});
+  table.add_row({"round trip p99 (us)", util::Table::num(p99, 1)});
+  table.add_row({"pumps per hit", util::Table::num(pumps_per_hit, 2)});
+  table.add_row({"loop wakes per hit", util::Table::num(wakes_per_hit, 2)});
+  table.add_row({"pipelined (jobs/s)", util::Table::num(pipelined_rate, 0)});
+  table.add_row({"churn (conns/s)", util::Table::num(churn_rate, 0)});
+  table.add_row({"idle loop wakes / 1 s",
+                 util::Table::num(static_cast<double>(idle_wakes), 0)});
+  table.add_row({"idle loop CPU (ms / 1 s)", util::Table::num(idle_cpu_ms, 2)});
+  std::printf("%s\n", table.render().c_str());
+
+  json.begin_entry("serving/host");
+  json.field("cpus", std::uint64_t{std::thread::hardware_concurrency()});
+  json.field("cpu_model", cpu_model());
+  json.begin_entry("serving/hit_roundtrip");
+  json.field("hits", std::uint64_t{kRoundTripHits});
+  json.field("p50_us", p50);
+  json.field("p99_us", p99);
+  json.field("pumps", pumps);
+  json.field("loop_wakes", wakes);
+  json.field("pumps_per_hit", pumps_per_hit);
+  json.field("loop_wakes_per_hit", wakes_per_hit);
+  json.begin_entry("serving/pipelined");
+  json.field("jobs", std::uint64_t{kPipelinedHits});
+  json.field("seconds", pipelined_seconds);
+  json.field("jobs_per_sec", pipelined_rate);
+  json.begin_entry("serving/churn_hit");
+  json.field("connections", std::uint64_t{kChurnHits});
+  json.field("seconds", churn_seconds);
+  json.field("conns_per_sec", churn_rate);
+  json.begin_entry("serving/idle");
+  json.field("connections", std::uint64_t{kIdleConnections});
+  json.field("seconds", 1.0);
+  json.field("loop_wakes", idle_wakes);
+  json.field("pumps", idle_pumps);
+  json.field("loop_cpu_ms", idle_cpu_ms);
+}
+
 void BM_SyncShimBatch(benchmark::State& state) {
   svc::VerificationService service;
   service.run(cached_job());  // warm
@@ -402,6 +630,7 @@ int main(int argc, char** argv) {
   std::string json_path = tta::bench::take_json_flag(&argc, argv);
   tta::bench::JsonWriter json;
   print_serving_panel(json);
+  print_cache_hit_panel(json);
   if (!json_path.empty()) json.write(json_path, "bench_async_service");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

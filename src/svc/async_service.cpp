@@ -42,6 +42,24 @@ JobResult rejected_result(std::uint64_t digest, Property property) {
   return result;
 }
 
+/// Publishes one batch's running estimate on a campaign progress board.
+void publish_batch(CampaignProgressBoard& board,
+                   const campaign::BatchUpdate& update) {
+  const campaign::Estimate& est = update.estimate;
+  board.trials.store(est.trials, std::memory_order_relaxed);
+  board.failures.store(est.failures, std::memory_order_relaxed);
+  board.p_ppm.store(static_cast<std::uint64_t>(est.p_hat * 1e6),
+                    std::memory_order_relaxed);
+  board.low_ppm.store(static_cast<std::uint64_t>(est.ci_low * 1e6),
+                      std::memory_order_relaxed);
+  board.high_ppm.store(static_cast<std::uint64_t>(est.ci_high * 1e6),
+                       std::memory_order_relaxed);
+  // Advisory snapshot: a racing reader may mix two adjacent batches'
+  // values, which is fine for a progress row. The final estimate travels
+  // in the JobResult, not here.
+  board.batches.store(update.batches, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 const char* to_string(JobState state) {
@@ -63,10 +81,11 @@ const char* to_string(JobState state) {
 // ---------------------------------------------------------------- Session
 
 Session::Session(AsyncService* service, std::uint64_t id,
-                 std::size_t max_open)
+                 std::size_t max_open, std::function<void()> notify)
     : service_(service),
       id_(id),
       max_open_(max_open),
+      notify_(std::move(notify)),
       // Twice the admission bound: up to max_open_ admitted jobs plus up
       // to max_open_ buffered rejection notices can be in flight at once,
       // so a worker's push can never block or fail.
@@ -74,7 +93,7 @@ Session::Session(AsyncService* service, std::uint64_t id,
 
 Session::~Session() { stream_.close(); }
 
-void Session::stream_locked(JobHandle handle, JobResult&& result) {
+bool Session::stream_locked(JobHandle handle, JobResult&& result) {
   Metrics& metrics = service_->metrics_;
   switch (stream_.push({handle, std::move(result)})) {
     case util::PushStatus::kOk:
@@ -90,9 +109,10 @@ void Session::stream_locked(JobHandle handle, JobResult&& result) {
       // never silent: counted here and reported by drain().
       lost_.fetch_add(1, std::memory_order_relaxed);
       metrics.stream_lost.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return false;
   }
   metrics.results_streamed.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 JobHandle Session::submit(const JobSpec& spec, const SubmitOptions& options) {
@@ -144,7 +164,10 @@ JobHandle Session::submit(const JobSpec& spec, const SubmitOptions& options) {
     record.state = JobState::kRejected;
     jobs_.emplace(seq, std::move(record));
     open_.fetch_add(1, std::memory_order_relaxed);
-    stream_locked(handle, rejected_result(digest, spec.property));
+    const bool delivered =
+        stream_locked(handle, rejected_result(digest, spec.property));
+    lock.unlock();
+    if (delivered) notify();
   } else {
     handle.sequence = 0;
   }
@@ -152,7 +175,7 @@ JobHandle Session::submit(const JobSpec& spec, const SubmitOptions& options) {
 }
 
 bool Session::cancel(const JobHandle& handle) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = jobs_.find(handle.sequence);
   if (it == jobs_.end()) return false;
   Session::JobRecord& record = it->second;
@@ -162,10 +185,13 @@ bool Session::cancel(const JobHandle& handle) {
       // entry sees the state change and skips it.
       record.state = JobState::kCancelled;
       record.cancel_requested = true;
-      stream_locked(JobHandle{record.digest, it->first},
-                    cancelled_result(record.digest, record.spec.property));
+      const bool delivered = stream_locked(
+          JobHandle{record.digest, it->first},
+          cancelled_result(record.digest, record.spec.property));
       service_->metrics_.jobs_cancelled.fetch_add(1,
                                                   std::memory_order_relaxed);
+      lock.unlock();
+      if (delivered) notify();
       return true;
     }
     case JobState::kRunning:
@@ -229,12 +255,20 @@ std::uint64_t Session::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   draining_ = true;
   Metrics& metrics = service_->metrics_;
+  bool delivered = false;
   for (auto& [seq, record] : jobs_) {
     if (record.state != JobState::kQueued) continue;
     record.state = JobState::kRejected;
-    stream_locked(JobHandle{record.digest, seq},
-                  rejected_result(record.digest, record.spec.property));
+    if (stream_locked(JobHandle{record.digest, seq},
+                      rejected_result(record.digest, record.spec.property))) {
+      delivered = true;
+    }
     metrics.drain_rejected.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (delivered) {
+    lock.unlock();
+    notify();
+    lock.lock();
   }
   idle_cv_.wait(lock, [&] { return running_ == 0; });
   stream_.close();
@@ -283,7 +317,8 @@ AsyncService::~AsyncService() {
   }
 }
 
-std::shared_ptr<Session> AsyncService::open_session() {
+std::shared_ptr<Session> AsyncService::open_session(
+    std::function<void()> notify) {
   std::lock_guard<std::mutex> lock(mu_);
   // Prune sessions dropped by their callers.
   for (auto it = sessions_.begin(); it != sessions_.end();) {
@@ -291,7 +326,7 @@ std::shared_ptr<Session> AsyncService::open_session() {
   }
   const std::uint64_t id = next_session_++;
   std::shared_ptr<Session> session(
-      new Session(this, id, config_.max_pending));
+      new Session(this, id, config_.max_pending, std::move(notify)));
   sessions_.emplace(id, session);
   metrics_.sessions_opened.fetch_add(1, std::memory_order_relaxed);
   return session;
@@ -326,6 +361,7 @@ void AsyncService::run_entry(const JobQueue::Entry& entry,
                              const std::shared_ptr<Session>& session) {
   JobSpec attempt_spec;
   std::shared_ptr<CampaignProgressBoard> board;
+  campaign::ProgressFn progress;
   {
     std::lock_guard<std::mutex> lock(session->mu_);
     auto it = session->jobs_.find(entry.sequence);
@@ -338,6 +374,12 @@ void AsyncService::run_entry(const JobQueue::Entry& entry,
     ++session->running_;
     attempt_spec = record.spec;
     board = record.board;
+  }
+  if (board) {
+    progress = [&board, &session](const campaign::BatchUpdate& update) {
+      publish_batch(*board, update);
+      session->notify();
+    };
   }
 
   const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
@@ -364,7 +406,7 @@ void AsyncService::run_entry(const JobQueue::Entry& entry,
       record.active_token = &token;
     }
 
-    result = process(attempt_spec, entry.admitted_at, &token, board.get());
+    result = process(attempt_spec, entry.admitted_at, &token, progress);
 
     bool cancel_requested = false;
     {
@@ -403,6 +445,7 @@ void AsyncService::run_entry(const JobQueue::Entry& entry,
   }
   result.outcome.attempts = std::move(attempts);
 
+  bool delivered = false;
   {
     std::lock_guard<std::mutex> lock(session->mu_);
     Session::JobRecord& record = session->jobs_.at(entry.sequence);
@@ -410,15 +453,16 @@ void AsyncService::run_entry(const JobQueue::Entry& entry,
                                         : JobState::kDone;
     record.active_token = nullptr;
     --session->running_;
-    session->stream_locked(JobHandle{entry.digest, entry.sequence},
-                           std::move(result));
+    delivered = session->stream_locked(
+        JobHandle{entry.digest, entry.sequence}, std::move(result));
   }
   session->idle_cv_.notify_all();
+  if (delivered) session->notify();
 }
 
 JobResult AsyncService::process(
     const JobSpec& spec, std::chrono::steady_clock::time_point admitted_at,
-    const util::CancelToken* cancel, CampaignProgressBoard* board) {
+    const util::CancelToken* cancel, const campaign::ProgressFn& progress) {
   const auto dispatched_at = std::chrono::steady_clock::now();
   const double queue_seconds = seconds_between(admitted_at, dispatched_at);
   metrics_.queue_latency.record_seconds(queue_seconds);
@@ -458,7 +502,7 @@ JobResult AsyncService::process(
     return result;
   }
 
-  result = execute(spec, cancel, board);
+  result = execute(spec, cancel, progress);
   result.digest = key;
   result.queue_seconds = queue_seconds;
 
@@ -533,26 +577,8 @@ JobResult AsyncService::process(
 
 JobResult AsyncService::execute(const JobSpec& spec,
                                 const util::CancelToken* cancel,
-                                CampaignProgressBoard* board) const {
+                                const campaign::ProgressFn& progress) const {
   if (spec.kind == JobKind::kCampaign) {
-    campaign::ProgressFn progress;
-    if (board) {
-      progress = [board](const campaign::BatchUpdate& update) {
-        const campaign::Estimate& est = update.estimate;
-        board->trials.store(est.trials, std::memory_order_relaxed);
-        board->failures.store(est.failures, std::memory_order_relaxed);
-        board->p_ppm.store(static_cast<std::uint64_t>(est.p_hat * 1e6),
-                           std::memory_order_relaxed);
-        board->low_ppm.store(static_cast<std::uint64_t>(est.ci_low * 1e6),
-                             std::memory_order_relaxed);
-        board->high_ppm.store(static_cast<std::uint64_t>(est.ci_high * 1e6),
-                              std::memory_order_relaxed);
-        // Advisory snapshot: a racing reader may mix two adjacent
-        // batches' values, which is fine for a progress row. The final
-        // estimate travels in the JobResult, not here.
-        board->batches.store(update.batches, std::memory_order_relaxed);
-      };
-    }
     return run_campaign_job(spec, config_, cancel, progress);
   }
 

@@ -23,6 +23,12 @@
 // checkpoint header. The synchronous VerificationService (svc/service.h)
 // is a thin shim over one Session per batch.
 //
+// A consumer that multiplexes many sessions on one thread (svc::Server)
+// cannot block in next() on each of them. It passes a notifier to
+// open_session() instead: the session calls it after every result lands
+// on its stream and after every campaign batch, so the consumer learns of
+// news without polling.
+//
 // Execution semantics (caches, retries, redundancy, checkpoints) are
 // identical to the pre-session service: engines are scheduled through the
 // uniform mc::Engine interface (svc/engine_factory.h), conclusive results
@@ -34,6 +40,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/runner.h"
 #include "svc/job_queue.h"
 #include "svc/job_result.h"
 #include "svc/job_spec.h"
@@ -196,15 +204,23 @@ class Session {
     std::shared_ptr<CampaignProgressBoard> board;
   };
 
-  Session(AsyncService* service, std::uint64_t id, std::size_t max_open);
+  Session(AsyncService* service, std::uint64_t id, std::size_t max_open,
+          std::function<void()> notify);
 
   /// Delivers one concluded result onto the stream, accounting for it in
-  /// Metrics (streamed / overflowed / lost). Call with mu_ held.
-  void stream_locked(JobHandle handle, JobResult&& result);
+  /// Metrics (streamed / overflowed / lost). Call with mu_ held; true if
+  /// the result landed, and then the caller rings notify() once mu_ is
+  /// released.
+  bool stream_locked(JobHandle handle, JobResult&& result);
+
+  void notify() const {
+    if (notify_) notify_();
+  }
 
   AsyncService* service_;
   const std::uint64_t id_;
   const std::size_t max_open_;
+  const std::function<void()> notify_;  ///< see AsyncService::open_session
   mutable std::mutex mu_;
   std::condition_variable idle_cv_;  ///< drain waits for running_ == 0
   std::unordered_map<std::uint64_t, JobRecord> jobs_;  ///< by sequence
@@ -226,7 +242,14 @@ class AsyncService {
   AsyncService(const AsyncService&) = delete;
   AsyncService& operator=(const AsyncService&) = delete;
 
-  std::shared_ptr<Session> open_session();
+  /// `notify`, when set, is called after every result lands on the new
+  /// session's stream (completion, rejection, or cancellation) and after
+  /// every campaign batch its worker publishes. It runs on whichever thread
+  /// caused the news — a worker, a submitter, a canceller, a drainer —
+  /// never under the session's lock, possibly on several threads at once,
+  /// so it must be thread-safe, cheap, and non-blocking. It may run until
+  /// this service's workers have joined, i.e. until ~AsyncService returns.
+  std::shared_ptr<Session> open_session(std::function<void()> notify = {});
 
   const ServiceConfig& config() const { return config_; }
   Metrics& metrics() { return metrics_; }
@@ -245,15 +268,15 @@ class AsyncService {
   void run_entry(const JobQueue::Entry& entry,
                  const std::shared_ptr<Session>& session);
   /// Cache probes + engine dispatch + cache fills + metrics, for one
-  /// attempt (unchanged from the pre-session service). `board` (may be
-  /// null) receives per-batch campaign progress.
+  /// attempt (unchanged from the pre-session service). `progress` (may be
+  /// empty) is called after every campaign batch.
   JobResult process(const JobSpec& spec,
                     std::chrono::steady_clock::time_point admitted_at,
                     const util::CancelToken* cancel,
-                    CampaignProgressBoard* board);
+                    const campaign::ProgressFn& progress);
   /// Engine dispatch through the factory (no cache, no metrics).
   JobResult execute(const JobSpec& spec, const util::CancelToken* cancel,
-                    CampaignProgressBoard* board) const;
+                    const campaign::ProgressFn& progress) const;
   /// Path of the engine checkpoint for `spec`, or "" when disabled (no
   /// checkpoint_dir, or a recoverability query).
   std::string checkpoint_path(const JobSpec& spec) const;

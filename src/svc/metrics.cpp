@@ -129,14 +129,16 @@ std::string Metrics::dump() const {
   std::snprintf(buf, sizeof buf,
                 "net: connections=%llu lines_in=%llu lines_out=%llu "
                 "malformed=%llu drains=%llu accept_errors=%llu "
-                "quota_rejected=%llu\n",
+                "quota_rejected=%llu loop_wakes=%llu pumps=%llu\n",
                 static_cast<unsigned long long>(v(net_connections)),
                 static_cast<unsigned long long>(v(net_lines_in)),
                 static_cast<unsigned long long>(v(net_lines_out)),
                 static_cast<unsigned long long>(v(net_malformed)),
                 static_cast<unsigned long long>(v(net_drains)),
                 static_cast<unsigned long long>(v(net_accept_errors)),
-                static_cast<unsigned long long>(v(net_quota_rejected)));
+                static_cast<unsigned long long>(v(net_quota_rejected)),
+                static_cast<unsigned long long>(v(net_loop_wakes)),
+                static_cast<unsigned long long>(v(net_pumps)));
   out += buf;
   std::snprintf(buf, sizeof buf,
                 "queue latency: mean=%.6fs p50<=%.6fs p99<=%.6fs  %s\n",

@@ -134,6 +134,14 @@ class Metrics {
   /// one was answered with an explicit rejection row; peers' admissions
   /// were unaffected.
   std::atomic<std::uint64_t> net_quota_rejected{0};
+  /// Event-loop rounds (returns from poll): a socket event, a completion
+  /// doorbell ring, or an accept-backoff deadline. An idle server adds
+  /// none — the loop blocks until something happens.
+  std::atomic<std::uint64_t> net_loop_wakes{0};
+  /// Connection pumps: one per connection per round it had a socket event
+  /// or rang the doorbell. Quiet connections are never pumped, so this
+  /// tracks traffic, not the number of open connections.
+  std::atomic<std::uint64_t> net_pumps{0};
 
   LatencyHistogram queue_latency;  ///< admission -> dispatch
   LatencyHistogram job_latency;    ///< dispatch -> result (incl. cache hits)

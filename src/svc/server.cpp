@@ -1,12 +1,9 @@
 #include "svc/server.h"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "svc/wire.h"
@@ -14,14 +11,6 @@
 namespace tta::svc {
 
 namespace {
-
-/// Matches "--name=value", pointing *out at value.
-bool flag_value(const char* arg, const char* name, const char** out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
 
 bool write_port_file(const std::string& path, std::uint16_t port) {
   const std::string tmp = path + ".tmp";
@@ -42,14 +31,10 @@ bool parse_quota_tail(const std::string& tail, TenantQuota* quota,
     const std::size_t end = tail.find(':', begin);
     const std::string part = tail.substr(
         begin, end == std::string::npos ? std::string::npos : end - begin);
-    char* rest = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(part.c_str(), &rest, 10);
-    if (part.empty() || errno != 0 || rest == nullptr || *rest != '\0') {
+    if (!parse_decimal(part.c_str(), UINT64_MAX, &fields[i])) {
       *error = "bad tenant quota field '" + part + "' in '" + tail + "'";
       return false;
     }
-    fields[i] = parsed;
     if (end == std::string::npos) break;
     begin = end + 1;
     if (i == 2) {
@@ -101,29 +86,23 @@ bool ServerConfig::from_args(int argc, const char* const* argv,
                              std::string* error) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
+    std::uint64_t n = 0;
+    const FlagParse shared = parse_service_flag(argv[i], &service, error);
+    if (shared == FlagParse::kBad) return false;
+    if (shared == FlagParse::kOk) continue;
     if (flag_value(argv[i], "--port", &v)) {
-      const unsigned long parsed = std::strtoul(v, nullptr, 10);
-      if (parsed > 65535) {
-        *error = "port out of range: " + std::string(v);
+      if (!parse_flag_number("--port", v, UINT16_MAX, &n, error)) {
         return false;
       }
-      port = static_cast<std::uint16_t>(parsed);
+      port = static_cast<std::uint16_t>(n);
     } else if (flag_value(argv[i], "--port-file", &v)) {
       port_file = v;
-    } else if (flag_value(argv[i], "--workers", &v)) {
-      service.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (flag_value(argv[i], "--cache", &v)) {
-      service.cache_capacity = std::strtoul(v, nullptr, 10);
-    } else if (flag_value(argv[i], "--cache-dir", &v)) {
-      service.cache_dir = v;
-    } else if (flag_value(argv[i], "--checkpoint-dir", &v)) {
-      service.checkpoint_dir = v;
-    } else if (flag_value(argv[i], "--retries", &v)) {
-      service.retry.max_attempts =
-          1 + static_cast<unsigned>(std::strtoul(v, nullptr, 10));
     } else if (flag_value(argv[i], "--drain-timeout-ms", &v)) {
-      drain_timeout_ms =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!parse_flag_number("--drain-timeout-ms", v, UINT32_MAX, &n,
+                             error)) {
+        return false;
+      }
+      drain_timeout_ms = static_cast<std::uint32_t>(n);
     } else if (flag_value(argv[i], "--tenant", &v)) {
       const std::string spec = v;
       const std::size_t colon = spec.find(':');
@@ -225,9 +204,19 @@ Server::~Server() {
   }
   reap_cv_.notify_all();
   if (reaper_.joinable()) reaper_.join();
+  // Session notifiers lock ready_mu_ and ring loop_ from worker threads
+  // (a running campaign's batch callback, say) until the workers join —
+  // and members are destroyed in reverse order, loop_ before service_. So
+  // retire the sessions and join the workers while both are still alive.
+  connections_.clear();
+  service_.reset();
 }
 
 bool Server::start(std::string* error) {
+  if (!loop_.wakeable()) {
+    *error = "cannot create the event loop's wake eventfd";
+    return false;
+  }
   listener_ = util::Socket::listen_on(config_.port, &bound_port_, error);
   if (!listener_.valid()) return false;
   listener_.set_nonblocking(true);
@@ -296,11 +285,11 @@ void Server::accept_ready() {
       ++drained_connections_;
       accepted.set_nonblocking(true);
       auto c = std::make_unique<Connection>(util::LineConn(std::move(accepted)));
-      c->fd = c->conn.fd();
-      if (c->fd < 0) continue;
-      c->session = service_->open_session();
+      const int fd = c->conn.fd();
+      if (fd < 0) continue;
+      c->fd = fd;
+      c->session = service_->open_session([this, fd] { mark_ready(fd); });
       c->start = std::chrono::steady_clock::now();
-      const int fd = c->fd;
       connections_.emplace(fd, std::move(c));
       loop_.watch(fd, /*read=*/true, /*write=*/false);
       continue;
@@ -440,6 +429,7 @@ void Server::release_quota(const PendingJob& job) {
 }
 
 void Server::pump(Connection* c) {
+  metrics().net_pumps.fetch_add(1, std::memory_order_relaxed);
   if (c->broken) return;
   // Campaign jobs stream advisory progress rows between responses: one
   // {"progress":1,...} row per newly completed batch, carrying the running
@@ -522,14 +512,13 @@ void Server::update_write_interest(Connection* c) {
   if (loop_.watching(c->fd)) loop_.watch(c->fd, c->reading, want);
 }
 
-bool Server::answers_owed() const {
-  for (const auto& [fd, c] : connections_) {
-    if (!c->pending.empty() || c->session->results().buffered() > 0 ||
-        c->conn.outbound() > 0) {
-      return true;
-    }
+bool Server::settled(const Connection& c) {
+  if (c.broken) return true;
+  if (c.reading || c.conn.outbound() > 0 ||
+      c.session->results().buffered() > 0) {
+    return false;
   }
-  return false;
+  return c.pending.empty() || c.session->results().exhausted();
 }
 
 void Server::finish(Connection* c) {
@@ -575,118 +564,127 @@ void Server::reaper_loop() {
   }
 }
 
+void Server::mark_ready(int fd) {
+  bool ring = false;
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    ring = ready_.empty();
+    // Back-to-back rings from one session (a campaign's batches between
+    // two rounds) collapse here; serve_round's round stamp dedups the rest.
+    if (ring || ready_.back() != fd) ready_.push_back(fd);
+  }
+  // Only the empty edge rings: a non-empty set already has a ring on its
+  // way (its first entry's), and the loop takes the whole set after it.
+  if (ring) loop_.wake();
+}
+
+void Server::on_event(const util::EventLoop::Event& ev) {
+  if (ev.fd == listener_.fd()) {
+    if (ev.readable && !accept_muted_) accept_ready();
+    return;
+  }
+  const auto it = connections_.find(ev.fd);
+  if (it == connections_.end()) return;
+  Connection* c = it->second.get();
+  // ev.broken arrives with readable set, so a hung-up peer surfaces
+  // through fill() as kEof/kError even when reads were paused.
+  if ((ev.readable && c->reading) || ev.broken) read_ready(c);
+  if (ev.writable && !c->broken && c->conn.outbound() > 0) {
+    if (c->conn.flush_some() == util::LineConn::Io::kError) {
+      c->broken = true;
+    }
+  }
+  active_.push_back(ev.fd);
+}
+
+void Server::serve_round() {
+  ++round_;
+  {
+    std::lock_guard<std::mutex> lock(ready_mu_);
+    active_.insert(active_.end(), ready_.begin(), ready_.end());
+    ready_.clear();
+  }
+  finished_.clear();
+  for (const int fd : active_) {
+    const auto it = connections_.find(fd);
+    if (it == connections_.end()) continue;  // closed since it rang
+    Connection* c = it->second.get();
+    if (c->round == round_) continue;  // already served this round
+    c->round = round_;
+    pump(c);
+    if (settled(*c)) finished_.push_back(fd);
+  }
+  active_.clear();
+  for (const int fd : finished_) {
+    const auto it = connections_.find(fd);
+    if (it == connections_.end()) continue;
+    finish(it->second.get());
+    connections_.erase(it);
+  }
+}
+
+int Server::poll_timeout_ms() {
+  if (!accept_muted_) return -1;
+  const auto now = std::chrono::steady_clock::now();
+  if (now >= accept_resume_) {
+    accept_muted_ = false;
+    loop_.watch(listener_.fd(), /*read=*/true, /*write=*/false);
+    return -1;
+  }
+  return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                              accept_resume_ - now)
+                              .count()) +
+         1;
+}
+
 void Server::run() {
   if (!started_) return;
   const util::EventLoop::Handler handler =
-      [this](const util::EventLoop::Event& ev) {
-        if (ev.fd == listener_.fd()) {
-          if (ev.readable && !accept_muted_) accept_ready();
-          return;
-        }
-        const auto it = connections_.find(ev.fd);
-        if (it == connections_.end()) return;
-        Connection* c = it->second.get();
-        // ev.broken arrives with readable set, so a hung-up peer surfaces
-        // through fill() as kEof/kError even when reads were paused.
-        if ((ev.readable && c->reading) || ev.broken) read_ready(c);
-        if (ev.writable && !c->broken && c->conn.outbound() > 0) {
-          if (c->conn.flush_some() == util::LineConn::Io::kError) {
-            c->broken = true;
-          }
-        }
-      };
-
+      [this](const util::EventLoop::Event& ev) { on_event(ev); };
   while (!stop_.load(std::memory_order_relaxed)) {
-    const auto now = std::chrono::steady_clock::now();
-    if (accept_muted_ && now >= accept_resume_) {
-      accept_muted_ = false;
-      loop_.watch(listener_.fd(), /*read=*/true, /*write=*/false);
-    }
-    // Result streams have no fd, so the loop ticks fast while answers are
-    // owed (to consume worker completions promptly) and slow when idle.
-    int timeout_ms = answers_owed() ? 2 : 100;
-    if (accept_muted_) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            accept_resume_ - now)
-                            .count();
-      if (left >= 0 && left < timeout_ms) {
-        timeout_ms = static_cast<int>(left) + 1;
-      }
-    }
-    loop_.poll_once(timeout_ms, handler);
-
-    finished_.clear();
-    for (auto& [fd, c] : connections_) {
-      pump(c.get());
-      if (c->broken ||
-          (!c->reading && c->pending.empty() &&
-           c->session->results().buffered() == 0 && c->conn.outbound() == 0)) {
-        finished_.push_back(fd);
-      }
-    }
-    for (const int fd : finished_) {
-      const auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;
-      finish(it->second.get());
-      connections_.erase(it);
-    }
+    loop_.poll_once(poll_timeout_ms(), handler);
+    metrics().net_loop_wakes.fetch_add(1, std::memory_order_relaxed);
+    serve_round();
   }
-
-  shutdown_drain();
+  shutdown_drain(handler);
 }
 
-void Server::shutdown_drain() {
+void Server::shutdown_drain(const util::EventLoop::Handler& handler) {
   // Refuse new clients while existing ones drain.
   if (listener_.valid()) {
     if (loop_.watching(listener_.fd())) loop_.unwatch(listener_.fd());
     listener_.close();
   }
-  for (auto& [fd, cptr] : connections_) {
-    Connection* c = cptr.get();
+  for (auto& [fd, c] : connections_) {
     c->reading = false;
+    if (loop_.watching(fd)) loop_.watch(fd, /*read=*/false, c->want_write);
     // Queued jobs conclude as explicit rejection rows, running jobs finish
-    // honestly; the buffered answers below still go out to the client.
+    // honestly; the buffered answers still go out to the client below.
     c->session->drain();
-    while (std::optional<StreamedResult> item =
-               c->session->results().try_next()) {
-      consume_result(c, *item);
-    }
-    flush_for(c, config_.drain_timeout_ms);
+    active_.push_back(fd);
+  }
+  // Flush through the same loop under one deadline for every connection:
+  // clients that stopped reading share it instead of each adding their own.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.drain_timeout_ms);
+  for (;;) {
+    serve_round();
+    if (connections_.empty()) break;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) break;
+    loop_.poll_once(static_cast<int>(std::min<long long>(left, INT32_MAX)),
+                    handler);
+    metrics().net_loop_wakes.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Past the deadline: whatever is still unsent is abandoned.
+  for (auto& [fd, c] : connections_) {
     for (auto& [seq, job] : c->pending) release_quota(job);
     c->pending.clear();
-    if (loop_.watching(c->fd)) loop_.unwatch(c->fd);
+    if (loop_.watching(fd)) loop_.unwatch(fd);
   }
   connections_.clear();
-}
-
-void Server::flush_for(Connection* c, std::uint32_t timeout_ms) {
-  using Io = util::LineConn::Io;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (!c->broken && c->conn.outbound() > 0) {
-    switch (c->conn.flush_some()) {
-      case Io::kOk:
-        return;
-      case Io::kEof:
-      case Io::kError:
-        c->broken = true;
-        return;
-      case Io::kTimeout: {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) return;
-        const auto left =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                  now)
-                .count();
-        struct ::pollfd pfd = {};
-        pfd.fd = c->fd;
-        pfd.events = POLLOUT;
-        ::poll(&pfd, 1,
-               static_cast<int>(left < 100 ? (left > 0 ? left : 1) : 100));
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace tta::svc

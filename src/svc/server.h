@@ -13,6 +13,15 @@
 // buffers — not a thread — so the server comfortably holds 1024+
 // concurrent connections (the CI soak step drives 10k through it).
 //
+// No polling tick. Each connection's Session gets a notifier that the
+// workers call after every result and every campaign batch; it appends the
+// connection to a mutex-guarded ready-set and rings the loop's doorbell
+// (util::EventLoop::wake) when the set was empty. run() blocks until a
+// socket or the doorbell is ready — indefinitely when idle — and each
+// round pumps only the connections that had a socket event or are in the
+// ready-set, so an idle server costs no CPU and a busy one no work per
+// quiet connection (Metrics::net_loop_wakes / net_pumps count both).
+//
 // Multi-tenant QoS on top of the event loop:
 //   - identity: the wire-level "tenant" request key (svc/wire.h),
 //     digest-excluded like "priority" — the same query from any tenant
@@ -81,7 +90,9 @@ struct ServerConfig {
   /// Template for tenants absent from the table (and for requests with no
   /// "tenant" key, under the name ""). Default: weight 1, no limits.
   TenantQuota default_quota;
-  /// Bound on flushing one connection's remaining rows at shutdown.
+  /// Bound on the whole shutdown flush: every connection's remaining rows
+  /// go out through the event loop under this one deadline, however many
+  /// clients have stopped reading.
   std::uint32_t drain_timeout_ms = 30'000;
   /// Backoff schedule for accept-path exhaustion (EMFILE/ENFILE...): the
   /// listener is muted for delay_ms(streak) plus deterministic jitter,
@@ -125,14 +136,18 @@ class Server {
 
   /// Serves until request_stop(), then drains: the listener closes, every
   /// connection's session drains (queued jobs become explicit rejection
-  /// rows), buffered answers flush to their clients (bounded by
-  /// drain_timeout_ms each), and run() returns. Also returns when
-  /// start() was never called successfully.
+  /// rows), buffered answers flush to their clients through the same loop
+  /// (bounded by one drain_timeout_ms deadline for all of them), and run()
+  /// returns. Also returns when start() was never called successfully.
   void run();
 
   /// Requests the drain-then-return path. Async-signal-safe (one relaxed
-  /// atomic store) — call it from a SIGTERM/SIGINT handler.
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// atomic store and one eventfd write) — call it from a SIGTERM/SIGINT
+  /// handler, on any thread: the doorbell ends an idle loop's wait.
+  void request_stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    loop_.wake();
+  }
 
   AsyncService& service() { return *service_; }
   Metrics& metrics() { return service_->metrics(); }
@@ -174,6 +189,7 @@ class Server {
     bool broken = false;   ///< read or write side failed
     bool want_write = false;  ///< POLLOUT currently registered
     int lineno = 0;
+    std::uint64_t round = 0;  ///< last loop round that pumped it
   };
 
   /// Live per-tenant admission gauges against one quota, plus lifetime
@@ -189,6 +205,19 @@ class Server {
 
   double ts_ms(const Connection& c) const;
   std::uint32_t intern_tenant(const std::string& name);
+  /// The notifier every connection's Session rings (any thread): adds fd
+  /// to the ready-set and wakes the loop on the set's empty edge.
+  void mark_ready(int fd);
+  /// The EventLoop handler: accept, read, flush; queues the fd for this
+  /// round's serve_round().
+  void on_event(const util::EventLoop::Event& ev);
+  /// Pumps and finish-checks every connection with news this round — a
+  /// socket event or a ready-set entry — and nobody else.
+  void serve_round();
+  /// Unmutes the listener once its accept-backoff window has passed, then
+  /// returns the poll timeout: -1 (block until an fd or the doorbell is
+  /// ready) unless the listener is still muted, else the window's rest.
+  int poll_timeout_ms();
   void accept_ready();
   void enter_accept_backoff(int accept_errno);
   void read_ready(Connection* c);
@@ -201,16 +230,14 @@ class Server {
   /// owed) and releases the job's quota charge.
   void consume_result(Connection* c, const StreamedResult& item);
   void update_write_interest(Connection* c);
-  /// True while some connection still owes answers (poll must tick to
-  /// notice worker completions — the stream has no fd).
-  bool answers_owed() const;
+  /// True once c owes nothing more: broken, or done reading with every
+  /// answer written (or its drained stream over).
+  static bool settled(const Connection& c);
   /// Closes and forgets a finished/broken connection; broken connections
   /// with unanswered jobs hand their session to the drain reaper.
   void finish(Connection* c);
   void release_quota(const PendingJob& job);
-  void shutdown_drain();
-  /// Bounded blocking flush of c's outbound bytes (shutdown path only).
-  void flush_for(Connection* c, std::uint32_t timeout_ms);
+  void shutdown_drain(const util::EventLoop::Handler& handler);
   void reaper_loop();
 
   ServerConfig config_;
@@ -223,6 +250,14 @@ class Server {
 
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
   std::vector<int> finished_;  ///< fds to close after dispatch
+  std::vector<int> active_;    ///< fds with news this round (loop thread)
+  std::uint64_t round_ = 0;
+
+  // The ready-set: fds whose session rang its notifier since the loop last
+  // looked. A stale fd (closed, or reused by a newer connection) costs at
+  // most one spurious pump.
+  std::mutex ready_mu_;
+  std::vector<int> ready_;
 
   // Tenant interning + gauges; loop-thread only.
   std::unordered_map<std::string, std::uint32_t> tenant_ids_;

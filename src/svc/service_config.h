@@ -1,9 +1,11 @@
 // Shared configuration for the verification service front ends — the
 // session-based svc::AsyncService and the synchronous shim
-// svc::VerificationService layered on top of it (svc/service.h).
+// svc::VerificationService layered on top of it (svc/service.h) — plus
+// the argv grammar for it that tta_verifyd and tta_verify_batch share.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "util/backoff.h"
@@ -54,5 +56,26 @@ struct ServiceConfig {
   /// Journal appends between persistent-cache compactions.
   std::size_t persistent_compact_after = 1024;
 };
+
+/// Matches "--name=value", pointing *value at the value.
+bool flag_value(const char* arg, const char* name, const char** value);
+
+/// Strict unsigned decimal: one or more digits and nothing else (no sign,
+/// space, or trailing bytes), at most `max`. False leaves *out untouched.
+bool parse_decimal(const char* text, std::uint64_t max, std::uint64_t* out);
+
+/// parse_decimal for the value of command-line flag `flag`; on failure
+/// *error names the flag, the bound, and the rejected text.
+bool parse_flag_number(const char* flag, const char* text, std::uint64_t max,
+                       std::uint64_t* out, std::string* error);
+
+/// Outcome of offering one argv entry to parse_service_flag().
+enum class FlagParse : std::uint8_t { kNotMine, kOk, kBad };
+
+/// The ServiceConfig flags tta_verifyd and tta_verify_batch share:
+/// --workers=N --cache=N --cache-dir=DIR --checkpoint-dir=DIR --retries=N.
+/// Numbers go through parse_flag_number; kBad fills *error.
+FlagParse parse_service_flag(const char* arg, ServiceConfig* config,
+                             std::string* error);
 
 }  // namespace tta::svc

@@ -5,6 +5,7 @@
 // session. Labeled `parallel` + `async` (the TSan job runs both).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -349,6 +350,49 @@ TEST(CampaignExecution, SessionRoundTripWithProgressAndCache) {
   EXPECT_EQ(cached.result.verdict, mc::Verdict::kHolds);
   (void)first;
   (void)second;
+}
+
+// The session notifier rings once per batch the worker publishes and once
+// per result that lands on the stream — the news svc::Server's loop waits
+// on instead of polling. The result's ring follows its push, so the count
+// is awaited rather than read the moment next() returns.
+TEST(CampaignExecution, NotifierRingsAfterEveryBatchAndResult) {
+  std::atomic<std::uint64_t> rings{0};
+  ServiceConfig config;
+  config.workers = 1;
+  AsyncService service(config);
+  std::shared_ptr<Session> session = service.open_session(
+      [&rings] { rings.fetch_add(1, std::memory_order_relaxed); });
+
+  // holds_spec with min_trials raised so the plan cannot stop before its
+  // fourth 64-trial batch.
+  const JobSpec spec = parse_or_die(
+      "{\"kind\":\"campaign\",\"criterion\":\"all_active\",\"steps\":32,"
+      "\"seed\":5,\"min_trials\":256,\"max_trials\":4096,\"batch\":64,"
+      "\"epsilon_ppm\":400000,\"fail_bound_ppm\":500000,"
+      "\"faults\":\"coupler:0:silence:10000\"}");
+  session->submit(spec);
+  const StreamedResult done = next_or_die(*session);
+  ASSERT_TRUE(done.result.has_campaign);
+  ASSERT_EQ(done.result.verdict, mc::Verdict::kHolds);
+  ASSERT_GE(done.result.campaign.batches, 4u);
+  const std::uint64_t expected = done.result.campaign.batches + 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (rings.load() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rings.load(), expected);
+
+  // A cache hit publishes no batch: one ring, for its result.
+  session->submit(spec);
+  EXPECT_TRUE(next_or_die(*session).result.from_cache);
+  while (rings.load() < expected + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rings.load(), expected + 1);
 }
 
 TEST(CampaignExecution, InconclusiveEstimatesAreNeverCached) {

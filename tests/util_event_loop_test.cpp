@@ -2,8 +2,9 @@
 // readiness semantics svc::Server leans on — level-triggered interest
 // updates, dormant registrations that still surface broken peers (the
 // accept-backoff mute), stale-event discard when a handler unwatches a
-// sibling fd mid-dispatch, and EINTR reported as a quiet zero so a
-// signal-driven stop flag is re-checked instead of wedging the loop.
+// sibling fd mid-dispatch, EINTR reported as a quiet zero so a
+// signal-driven stop flag is re-checked instead of wedging the loop, and
+// the wake() doorbell that lets the server block without a tick.
 #include "util/event_loop.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <poll.h>  // completes ::pollfd for the EventLoop scratch vector
@@ -175,6 +177,86 @@ TEST(EventLoop, SignalInterruptionReportsZeroNotFailure) {
 
   EXPECT_EQ(result, 0);
   EXPECT_LT(waited, std::chrono::seconds(10));
+}
+
+using Clock = std::chrono::steady_clock;
+
+// The doorbell tests watch one quiet pipe so poll_once has something to
+// block on (an empty loop returns at once by contract).
+
+TEST(EventLoop, WakeFromAnotherThreadEndsAnUnboundedPoll) {
+  Pipe quiet;
+  EventLoop loop;
+  ASSERT_TRUE(loop.wakeable());
+  loop.watch(quiet.read_fd, /*read=*/true, /*write=*/false);
+
+  std::thread waker([&loop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    loop.wake();
+  });
+  const auto start = Clock::now();
+  EXPECT_EQ(loop.poll_once(-1, [](const EventLoop::Event&) { FAIL(); }), 0);
+  const auto waited = Clock::now() - start;
+  waker.join();
+  EXPECT_LT(waited, std::chrono::seconds(10));
+}
+
+TEST(EventLoop, WakeBeforePollIsNotLost) {
+  Pipe quiet;
+  EventLoop loop;
+  loop.watch(quiet.read_fd, /*read=*/true, /*write=*/false);
+
+  loop.wake();
+  const auto start = Clock::now();
+  EXPECT_EQ(loop.poll_once(30'000, [](const EventLoop::Event&) { FAIL(); }),
+            0);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(10));
+}
+
+// Rings coalesce: one round consumes every ring issued before it, so the
+// next round waits out its full timeout instead of waking again.
+TEST(EventLoop, ManyWakesCoalesceIntoOneRound) {
+  Pipe quiet;
+  EventLoop loop;
+  loop.watch(quiet.read_fd, /*read=*/true, /*write=*/false);
+
+  std::vector<std::thread> wakers;
+  for (int t = 0; t < 4; ++t) {
+    wakers.emplace_back([&loop] {
+      for (int i = 0; i < 250; ++i) loop.wake();
+    });
+  }
+  for (std::thread& t : wakers) t.join();
+
+  EXPECT_EQ(loop.poll_once(30'000, [](const EventLoop::Event&) { FAIL(); }),
+            0);
+  const auto start = Clock::now();
+  EXPECT_EQ(loop.poll_once(200, [](const EventLoop::Event&) { FAIL(); }), 0);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(150));
+}
+
+// The doorbell is the loop's own fd: it never reaches the handler, whether
+// it rings alone or alongside a ready watched fd.
+TEST(EventLoop, DoorbellNeverReachesTheHandler) {
+  Pipe quiet;
+  Pipe busy;
+  EventLoop loop;
+  loop.watch(quiet.read_fd, /*read=*/true, /*write=*/false);
+
+  loop.wake();
+  EXPECT_EQ(loop.poll_once(1'000, [](const EventLoop::Event&) { FAIL(); }),
+            0);
+
+  loop.watch(busy.read_fd, /*read=*/true, /*write=*/false);
+  busy.put('x');
+  loop.wake();
+  std::set<int> handled;
+  EXPECT_EQ(loop.poll_once(1'000,
+                           [&](const EventLoop::Event& ev) {
+                             handled.insert(ev.fd);
+                           }),
+            1);
+  EXPECT_EQ(handled, std::set<int>{busy.read_fd});
 }
 
 }  // namespace

@@ -32,8 +32,8 @@
 // failure), 1 when any job ended rejected, inconclusive, or diverged,
 // 2 on usage/input errors.
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -60,13 +60,6 @@ int usage(const char* argv0) {
                "\"safety\", \"max_oos\": 1, \"deadline_ms\": 5000}\n",
                argv0);
   return 2;
-}
-
-bool flag_value(const char* arg, const char* name, const char** out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
 }
 
 const char* verdict_cell(const svc::JobResult& r) {
@@ -97,24 +90,26 @@ int main(int argc, char** argv) {
   svc::ServiceConfig config;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
-    if (flag_value(argv[i], "--passes", &v)) {
-      passes = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (flag_value(argv[i], "--workers", &v)) {
-      config.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (flag_value(argv[i], "--cache", &v)) {
-      config.cache_capacity = std::strtoul(v, nullptr, 10);
-    } else if (flag_value(argv[i], "--cache-dir", &v)) {
-      config.cache_dir = v;
-    } else if (flag_value(argv[i], "--checkpoint-dir", &v)) {
-      config.checkpoint_dir = v;
-    } else if (flag_value(argv[i], "--retries", &v)) {
-      config.retry.max_attempts =
-          1 + static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+    std::string error;
+    const svc::FlagParse shared =
+        svc::parse_service_flag(argv[i], &config, &error);
+    if (shared == svc::FlagParse::kOk) continue;
+    if (shared == svc::FlagParse::kBad) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return usage(argv[0]);
+    }
+    if (svc::flag_value(argv[i], "--passes", &v)) {
+      std::uint64_t n = 0;
+      if (!svc::parse_flag_number("--passes", v, UINT_MAX, &n, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return usage(argv[0]);
+      }
+      passes = static_cast<unsigned>(n);
     } else if (std::strcmp(argv[i], "--redundant") == 0) {
       redundant = true;
     } else if (std::strcmp(argv[i], "--stream") == 0) {
       stream = true;
-    } else if (flag_value(argv[i], "--json", &v)) {
+    } else if (svc::flag_value(argv[i], "--json", &v)) {
       json_path = v;
     } else if (argv[i][0] == '-') {
       return usage(argv[0]);

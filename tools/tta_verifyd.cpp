@@ -17,7 +17,8 @@
 //     land in the caches for the client's retry;
 //   - SIGTERM / SIGINT close the listener and drain every connection:
 //     queued jobs come back as explicit rejection rows, buffered results
-//     are flushed to their clients, then the process exits 0 with a final
+//     are flushed to their clients (all of them within one
+//     --drain-timeout-ms deadline), then the process exits 0 with a final
 //     metrics dump on stdout (the kill-9 recovery step in CI greps it).
 //
 //   ./tta_verifyd --port=0 --port-file=port.txt --workers=4
