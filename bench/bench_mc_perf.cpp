@@ -13,16 +13,13 @@
 // to run just the memory panel (the CI memory-budget smoke step does).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench_json.h"
 #include "mc/checker.h"
 #include "mc/parallel_checker.h"
-#include "mc/swarm_engine.h"
 #include "util/compact_state_table.h"
 #include "util/thread_pool.h"
 
@@ -156,93 +153,6 @@ void print_parallel_comparison(bench::JsonWriter& json) {
               "overhead. 'dedup skips' counts successors answered by the "
               "per-level dedup cache instead of a CAS probe of the shared "
               "state table.\n\n");
-}
-
-// ---- Swarm panel: time-to-counterexample vs the exhaustive BFS ----
-
-void print_swarm_panel(bench::JsonWriter& json) {
-  // The E1 grid's VIOLATED rows (tools/e1_grid.jobs): full_shifting safety
-  // variants, where level-synchronized BFS must expand every level above
-  // the violating one before it can report. The swarm engine races seeded
-  // randomized orderings against that sweep; its time-to-counterexample is
-  // CheckStats::swarm_race_seconds (start -> first replay-validated raw
-  // win), and the reported trace must still replay to the serial engine's
-  // canonical length — the panel checks that on every run.
-  std::printf("swarm panel: time-to-counterexample on E1 VIOLATED rows "
-              "(4 racers + 2-thread sweep vs 4-thread BFS)\n\n");
-  std::printf("%-36s %10s %10s %10s %8s %7s\n", "config / seed", "bfs_s",
-              "swarm_ttc", "ratio", "race_won", "trace");
-
-  struct Row {
-    const char* name;
-    mc::ModelConfig cfg;
-  };
-  auto trace1 = config(guardian::Authority::kFullShifting);
-  trace1.max_out_of_slot_errors = 1;
-  auto trace2 = trace1;
-  trace2.allow_coldstart_duplication = false;
-  const Row rows[] = {
-      {"full_shifting", config(guardian::Authority::kFullShifting)},
-      {"full_shifting max_oos=1", trace1},
-      {"full_shifting no_coldstart", trace2},
-  };
-
-  std::vector<double> ratios;
-  for (const Row& row : rows) {
-    mc::TtpcStarModel m(row.cfg);
-    mc::EngineQuery query;
-    query.kind = mc::EngineQuery::Kind::kSafetyCheck;
-    query.violation = mc::no_integrated_node_freezes();
-
-    const mc::EngineResult serial =
-        mc::SerialEngine().run(m, query, nullptr, nullptr);
-    const mc::EngineResult bfs =
-        mc::ParallelEngine(4).run(m, query, nullptr, nullptr);
-
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      const mc::EngineResult swarm =
-          mc::SwarmEngine(4, seed, 2).run(m, query, nullptr, nullptr);
-      // When a racer won, its validated win time is the ttc; when the
-      // sweep won the race outright, the whole run is.
-      const double ttc = swarm.stats.swarm_race_won
-                             ? swarm.stats.swarm_race_seconds
-                             : swarm.stats.seconds;
-      const double ratio =
-          bfs.stats.seconds > 0.0 ? ttc / bfs.stats.seconds : 0.0;
-      const bool canonical = swarm.verdict == serial.verdict &&
-                             swarm.trace.size() == serial.trace.size();
-      ratios.push_back(ratio);
-      char label[64];
-      std::snprintf(label, sizeof label, "%s seed=%llu", row.name,
-                    static_cast<unsigned long long>(seed));
-      std::printf("%-36s %10.4f %10.4f %9.2fx %8llu %7s\n", label,
-                  bfs.stats.seconds, ttc, ratio,
-                  static_cast<unsigned long long>(swarm.stats.swarm_race_won),
-                  canonical ? "match" : "** MISMATCH **");
-      char entry[80];
-      std::snprintf(entry, sizeof entry, "swarm %s seed=%llu", row.name,
-                    static_cast<unsigned long long>(seed));
-      json.begin_entry(entry);
-      json.field("bfs_seconds", bfs.stats.seconds);
-      json.field("swarm_ttc_seconds", ttc);
-      json.field("ttc_vs_bfs", ratio);
-      json.field("race_won", swarm.stats.swarm_race_won);
-      json.field("loser_states", swarm.stats.swarm_loser_states);
-      json.field("cancel_seconds", swarm.stats.swarm_cancel_seconds);
-      json.field("trace_len", std::uint64_t{swarm.trace.size()});
-      json.field("serial_trace_len", std::uint64_t{serial.trace.size()});
-      json.field("canonical_match", std::uint64_t{canonical});
-    }
-  }
-
-  std::sort(ratios.begin(), ratios.end());
-  const double median = ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-  json.begin_entry("swarm_median");
-  json.field("ttc_vs_bfs_median", median);
-  std::printf("\n=> swarm median time-to-counterexample: %.2fx the "
-              "4-thread BFS (target: < 0.5x); every row's trace length "
-              "must match the serial canon.\n\n",
-              median);
 }
 
 // ---- Memory panel: flat vs compact visited-table backends ----
@@ -499,7 +409,6 @@ int main(int argc, char** argv) {
   if (!memory_only) {
     print_summary(json);
     print_parallel_comparison(json);
-    print_swarm_panel(json);
   }
   print_memory_panel(json);
   if (!json_path.empty()) json.write(json_path, "bench_mc_perf");

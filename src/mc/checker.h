@@ -128,15 +128,6 @@ struct CheckStats {
   std::uint64_t probe_max = 0;
   double probe_avg = 0.0;
   double seconds = 0.0;
-  // Swarm racing diagnostics (mc::SwarmEngine; zero everywhere else).
-  // Like dedup_skips/hash_recomputes they are outside the bit-identity
-  // set: the canonical verdict/trace fields above stay equal to the
-  // serial engine's, these describe how fast the race got there.
-  std::uint64_t swarm_workers = 0;       ///< racers launched
-  std::uint64_t swarm_race_won = 0;      ///< 1 if a racer beat the sweep
-  std::uint64_t swarm_loser_states = 0;  ///< states explored by losing racers
-  double swarm_race_seconds = 0.0;  ///< start -> first validated raw trace
-  double swarm_cancel_seconds = 0.0;  ///< race win -> last loser stood down
   bool exhausted = true;  ///< false if the state budget stopped the search
   bool cancelled = false;  ///< true if a CancelToken stopped the search
   bool resumed = false;    ///< search continued from a checkpoint file

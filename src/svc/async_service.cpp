@@ -544,15 +544,6 @@ JobResult AsyncService::process(
   if (result.outcome.redundant) {
     metrics_.redundant_runs.fetch_add(1, std::memory_order_relaxed);
   }
-  if (result.stats.swarm_workers != 0) {
-    metrics_.swarm_races_won.fetch_add(result.stats.swarm_race_won,
-                                       std::memory_order_relaxed);
-    metrics_.swarm_loser_states.fetch_add(result.stats.swarm_loser_states,
-                                          std::memory_order_relaxed);
-    metrics_.swarm_cancel_micros.fetch_add(
-        static_cast<std::uint64_t>(result.stats.swarm_cancel_seconds * 1e6),
-        std::memory_order_relaxed);
-  }
   if (result.verdict == mc::Verdict::kEngineDivergence) {
     metrics_.engine_divergence.fetch_add(1, std::memory_order_relaxed);
   }

@@ -1,10 +1,8 @@
 #include "svc/engine_factory.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
-#include "mc/swarm_engine.h"
 #include "util/thread_pool.h"
 
 namespace tta::svc {
@@ -54,13 +52,6 @@ EngineSelection make_engine(const JobSpec& spec,
       selection.engine = std::make_unique<mc::RedundantEngine>(
           std::make_unique<mc::SerialEngine>(),
           std::make_unique<mc::ParallelEngine>(threads, options));
-      break;
-    case EngineChoice::kSwarm:
-      // At least two racers so both randomized orderings (DFS and
-      // shuffled-frontier BFS) are in the field; the exhaustive sweep
-      // reuses the parallel-engine thread budget.
-      selection.engine = std::make_unique<mc::SwarmEngine>(
-          std::max(2u, threads), spec.seed, threads, options);
       break;
     case EngineChoice::kAuto:
       break;  // unreachable: resolved above

@@ -30,7 +30,6 @@ const char* to_string(EngineChoice engine) {
     case EngineChoice::kParallel: return "parallel";
     case EngineChoice::kAuto: return "auto";
     case EngineChoice::kRedundant: return "redundant";
-    case EngineChoice::kSwarm: return "swarm";
   }
   return "?";
 }

@@ -58,13 +58,6 @@ enum class EngineChoice : std::uint8_t {
   /// stalling (deadline, budget) is masked by the other's conclusive
   /// answer. Costs roughly the sum of both engines.
   kRedundant = 3,
-  /// Counterexample racing: seeded randomized workers (randomized DFS +
-  /// shuffled-frontier BFS) race an exhaustive parallel sweep to the first
-  /// violation; the winner trips a shared cancel token and the raw trace is
-  /// canonicalized through the serial checker, so verdicts, statistics, and
-  /// trace lengths match every other engine (docs/CHECKER.md). Fast
-  /// time-to-counterexample on VIOLATED configs; HOLDS costs one sweep.
-  kSwarm = 4,
 };
 
 const char* to_string(Property property);
@@ -96,13 +89,6 @@ struct JobSpec {
   /// excluded from canonical_bytes()/digest() and a cached result computed
   /// under either backend satisfies both.
   mc::TableBackend table_backend = mc::TableBackend::kFlat;
-
-  /// Spec-level seed for the swarm engine's per-worker seed derivation
-  /// (mc::swarm_worker_seed). An execution hint like engine/threads: the
-  /// swarm engine canonicalizes its answer through the serial checker, so
-  /// the seed can only move diagnostics, never the verdict or trace —
-  /// excluded from canonical_bytes()/digest(). Ignored by other engines.
-  std::uint64_t seed = 0;
 
   /// Canonical little-endian byte encoding of the semantic fields, stable
   /// across processes and builds; starts with a format-version byte so

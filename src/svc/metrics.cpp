@@ -112,12 +112,6 @@ std::string Metrics::dump() const {
                 static_cast<unsigned long long>(v(checkpoint_resumes)));
   out += buf;
   std::snprintf(buf, sizeof buf,
-                "swarm: races_won=%llu loser_states=%llu cancel_micros=%llu\n",
-                static_cast<unsigned long long>(v(swarm_races_won)),
-                static_cast<unsigned long long>(v(swarm_loser_states)),
-                static_cast<unsigned long long>(v(swarm_cancel_micros)));
-  out += buf;
-  std::snprintf(buf, sizeof buf,
                 "async: sessions=%llu streamed=%llu drain_rejected=%llu "
                 "overflow=%llu lost=%llu\n",
                 static_cast<unsigned long long>(v(sessions_opened)),

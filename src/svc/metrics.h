@@ -97,13 +97,6 @@ class Metrics {
   std::atomic<std::uint64_t> redundant_runs{0};
   std::atomic<std::uint64_t> engine_divergence{0};
   std::atomic<std::uint64_t> checkpoint_resumes{0};
-  // Swarm counterexample racing: races where a randomized racer beat the
-  // exhaustive sweep to a (replay-validated) violation, states explored by
-  // the losing racers across all races, and microseconds spent standing
-  // the field down after the shared cancel token tripped.
-  std::atomic<std::uint64_t> swarm_races_won{0};
-  std::atomic<std::uint64_t> swarm_loser_states{0};
-  std::atomic<std::uint64_t> swarm_cancel_micros{0};
   // Async serving: sessions opened, results delivered onto session streams
   // (completions, cancellations, and buffered rejections alike), and jobs
   // rejected by drain() while still queued. stream_overflows counts pushes

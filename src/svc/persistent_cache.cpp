@@ -80,6 +80,19 @@ struct ByteReader {
   }
 };
 
+/// True iff `engine` is a member of today's EngineChoice. The switch has
+/// no default, so a new member fails -Wswitch until it is listed here.
+bool is_engine_choice(EngineChoice engine) {
+  switch (engine) {
+    case EngineChoice::kSerial:
+    case EngineChoice::kParallel:
+    case EngineChoice::kAuto:
+    case EngineChoice::kRedundant:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_result(const JobSpec& spec,
@@ -142,6 +155,9 @@ bool decode_result(const JobSpec& spec, const std::uint8_t* data,
       result.verdict != mc::Verdict::kViolated) {
     return false;
   }
+  // A byte no current engine owns (one a removed engine left in an older
+  // journal, or a flipped bit) would be served as "engine":"?".
+  if (!is_engine_choice(result.engine_used)) return false;
 
   if (trace_len > 0) {
     std::vector<util::PackedState> states;

@@ -109,9 +109,10 @@ class PersistentCache {
 
 /// Record codec, exposed for the fault-injection tests. encode produces a
 /// version-1 payload; decode validates digest + property binding against
-/// `spec` and replays the packed trace through the model to rebuild the
-/// labeled steps. Returns false on any mismatch instead of trusting the
-/// bytes.
+/// `spec`, checks that the verdict is conclusive and the engine byte names
+/// a current EngineChoice, and replays the packed trace through the model
+/// to rebuild the labeled steps. Returns false on any mismatch instead of
+/// trusting the bytes.
 std::vector<std::uint8_t> encode_result(const JobSpec& spec,
                                         const JobResult& result);
 bool decode_result(const JobSpec& spec, const std::uint8_t* data,

@@ -90,9 +90,15 @@ bool parse_property(const std::string& v, Property* out) {
 }
 
 bool parse_engine(const std::string& v, EngineChoice* out) {
+  // "swarm" named a counterexample-racing engine that never answered
+  // sooner than BFS and was removed; client lines that still ask for it
+  // get the cost-based pick instead of an error.
+  if (v == "swarm") {
+    *out = EngineChoice::kAuto;
+    return true;
+  }
   for (EngineChoice e : {EngineChoice::kSerial, EngineChoice::kParallel,
-                         EngineChoice::kAuto, EngineChoice::kRedundant,
-                         EngineChoice::kSwarm}) {
+                         EngineChoice::kAuto, EngineChoice::kRedundant}) {
     if (v == to_string(e)) {
       *out = e;
       return true;
@@ -304,10 +310,11 @@ bool parse_line_impl(const std::string& line, JobSpec* spec,
     } else if (is_campaign && key == "steps") {
       ok = parse_u64(value, &out.campaign.steps) && out.campaign.steps > 0;
     } else if (key == "seed") {
-      // Campaigns seed the trial RNG streams; verification jobs seed the
-      // swarm engine's racers. Both are digest-invariant execution hints.
+      // Campaigns seed the trial RNG streams. A verification job's seed
+      // only ever seeded the removed swarm engine's racers: it is still
+      // validated, so old client lines keep parsing, and then dropped.
       ok = is_campaign ? parse_u64(value, &out.campaign.seed)
-                       : parse_u64(value, &out.seed);
+                       : parse_u64(value, &n);
     } else if (is_campaign && key == "min_trials") {
       ok = parse_u64(value, &n) && n <= UINT32_MAX;
       if (ok) out.campaign.min_trials = static_cast<std::uint32_t>(n);

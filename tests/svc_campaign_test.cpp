@@ -106,14 +106,19 @@ TEST(CampaignJobSpec, KindsDoNotLeakKeysIntoEachOther) {
   EXPECT_NE(parse_error("{\"faults\":\"coupler:0:silence:1\"}")
                 .find("for verify jobs"),
             std::string::npos);
-  // "seed" graduated to a shared key: it seeds the trial streams in a
-  // campaign but the swarm engine's racers in a verification job.
+  // "seed" is a shared key, but only a campaign reads it (to seed the
+  // trial streams). A verification job parses it, as lines written for
+  // the removed swarm engine carry it, and drops it: the digest stays.
   JobSpec verify_seeded;
+  JobSpec verify_unseeded;
   std::string error;
   ASSERT_TRUE(parse_job_line("{\"seed\":9}", &verify_seeded, &error))
       << error;
+  ASSERT_TRUE(parse_job_line("{}", &verify_unseeded, &error)) << error;
   EXPECT_EQ(verify_seeded.kind, JobKind::kVerify);
-  EXPECT_EQ(verify_seeded.seed, 9u);
+  EXPECT_EQ(verify_seeded.digest(), verify_unseeded.digest());
+  EXPECT_NE(parse_error("{\"seed\":\"x\"}").find("bad value for \"seed\""),
+            std::string::npos);
 }
 
 TEST(CampaignJobSpec, BadValuesNameFieldOffsetAndValue) {

@@ -154,6 +154,23 @@ TEST(JobSpecParse, DefaultsMatchDefaultSpec) {
   ASSERT_TRUE(parse_job_line(R"({"authority": "passive"})", &parsed, &error))
       << error;
   EXPECT_EQ(parsed.digest(), spec_for(guardian::Authority::kPassive).digest());
+
+  // Keys that steered the removed swarm engine still parse to the default
+  // spec, as job lines and as wire requests: "engine":"swarm" as auto and
+  // a verification "seed" as nothing. No client line is rejected and no
+  // cache key moves.
+  for (const char* line : {R"({"authority": "passive", "engine": "swarm"})",
+                           R"({"authority": "passive", "seed": 9})"}) {
+    JobSpec spec;
+    ASSERT_TRUE(parse_job_line(line, &spec, &error)) << line << ": " << error;
+    EXPECT_EQ(spec.engine, EngineChoice::kAuto) << line;
+    EXPECT_EQ(spec.digest(), parsed.digest()) << line;
+    WireRequest request;
+    ASSERT_TRUE(parse_request_line(line, &request, &error))
+        << line << ": " << error;
+    EXPECT_EQ(request.spec.engine, EngineChoice::kAuto) << line;
+    EXPECT_EQ(request.spec.digest(), parsed.digest()) << line;
+  }
 }
 
 TEST(JobSpecParse, RejectsMalformedInput) {

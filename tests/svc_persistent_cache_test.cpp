@@ -114,6 +114,55 @@ TEST(PersistentCache, LookupBindsToTheQueryNotJustTheDigest) {
   EXPECT_TRUE(cache.lookup(stored, &out));
 }
 
+TEST(PersistentCache, UnknownEngineByteIsASoftMiss) {
+  // A record stores JobResult::engine_used as one byte. A byte no current
+  // EngineChoice owns (4 belonged to a removed engine, 0xFF to none) must
+  // not be served with engine "?": decode rejects it, and a lookup erases
+  // the entry, counts it corrupt and misses, so the job is recomputed.
+  const std::string dir = test_dir();
+  std::vector<JobSpec> specs;
+  {
+    PersistentCache cache(PersistentCacheConfig{dir, 1024});
+    for (const std::uint8_t byte : {std::uint8_t{4}, std::uint8_t{0xFF}}) {
+      const JobSpec spec =
+          spec_for(guardian::Authority::kPassive,
+                   Property::kNoIntegratedNodeFreezes, 3'000 + byte);
+      JobResult result = holds_result(spec, 9);
+      result.engine_used = static_cast<EngineChoice>(byte);
+      const std::vector<std::uint8_t> bytes = encode_result(spec, result);
+      JobResult decoded;
+      EXPECT_FALSE(decode_result(spec, bytes.data(), bytes.size(), &decoded))
+          << "engine byte " << +byte;
+      cache.insert(spec, result);
+      specs.push_back(spec);
+    }
+  }
+  // Every current engine still decodes.
+  const JobSpec spec =
+      spec_for(guardian::Authority::kPassive, Property::kNoIntegratedNodeFreezes);
+  for (const EngineChoice engine :
+       {EngineChoice::kSerial, EngineChoice::kParallel, EngineChoice::kAuto,
+        EngineChoice::kRedundant}) {
+    JobResult result = holds_result(spec, 9);
+    result.engine_used = engine;
+    const std::vector<std::uint8_t> bytes = encode_result(spec, result);
+    JobResult decoded;
+    ASSERT_TRUE(decode_result(spec, bytes.data(), bytes.size(), &decoded))
+        << to_string(engine);
+    EXPECT_EQ(decoded.engine_used, engine);
+  }
+
+  Metrics metrics;
+  PersistentCache reopened(PersistentCacheConfig{dir, 1024}, &metrics);
+  EXPECT_EQ(reopened.size(), 2u);  // recovery indexes by digest alone
+  for (const JobSpec& s : specs) {
+    JobResult out;
+    EXPECT_FALSE(reopened.lookup(s, &out));
+  }
+  EXPECT_EQ(reopened.size(), 0u);
+  EXPECT_EQ(metrics.persistent_corrupt_records.load(), 2u);
+}
+
 TEST(PersistentCache, TruncatedJournalTailRecoversPrefixAndCountsDamage) {
   const std::string dir = test_dir();
   std::string journal;

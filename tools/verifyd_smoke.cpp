@@ -30,13 +30,7 @@
 //   5. malformed + disconnect — a raw connection sends garbage (expects an
 //      {"error":...} line back), submits real jobs, reads one answer, and
 //      disconnects abruptly mid-stream; the server must drain, not wedge;
-//   6. swarm canonicalization — a raw connection runs the pinned VIOLATED
-//      E1 job ("authority":"full_shifting","property":"safety","nodes":4)
-//      once under "engine":"serial" and then under "engine":"swarm" at two
-//      seeds; every run must answer VIOLATED with the identical trace_len,
-//      because the swarm engine re-derives its reported counterexample
-//      from a canonical serial replay regardless of which racer won;
-//   7. clean shutdown — SIGTERM must exit 0 after flushing, and the final
+//   6. clean shutdown — SIGTERM must exit 0 after flushing, and the final
 //      metrics dump must report the connections, the malformed line, the
 //      mid-stream drain, the quota rejections, and the per-tenant rows.
 #include <sys/socket.h>
@@ -117,14 +111,6 @@ std::string json_str_field(const std::string& line, const std::string& key) {
   const std::size_t end = line.find('"', start);
   if (end == std::string::npos) return "";
   return line.substr(start, end - start);
-}
-
-/// Extracts a numeric "key":123 field from a JSON line; -1 if absent.
-long long json_num_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return -1;
-  return std::atoll(line.c_str() + at + needle.size());
 }
 
 /// (digest, verdict) multiset from --stream / wire response lines.
@@ -411,59 +397,7 @@ int main(int argc, char** argv) {
           "post-drain client verdict multiset != reference");
   }
 
-  // ---- phase 6: swarm counterexample canonicalization -----------------
-  // The swarm engine races randomized workers against the exhaustive
-  // sweep, but its reported VIOLATED verdict is re-derived by a serial
-  // replay — so trace_len must be seed-independent and equal to the
-  // plain serial engine's shortest counterexample.
-  {
-    std::string error;
-    Socket sock = Socket::connect_to(
-        "127.0.0.1", static_cast<std::uint16_t>(std::stoi(port)), 5'000,
-        &error);
-    CHECK(sock.valid(), "swarm-phase connect failed: %s", error.c_str());
-    LineConn conn(std::move(sock));
-    using Io = LineConn::Io;
-
-    const std::string pinned_job =
-        "\"authority\":\"full_shifting\",\"property\":\"safety\",\"nodes\":4";
-    CHECK(conn.write_line("{" + pinned_job +
-                              ",\"engine\":\"serial\",\"id\":\"canon\"}",
-                          5'000) == Io::kOk,
-          "serial reference write failed");
-    std::string line;
-    long long canon_len = -1;
-    CHECK(conn.read_line(&line, 120'000) == Io::kOk,
-          "no serial reference answer");
-    CHECK(json_str_field(line, "verdict") == "VIOLATED",
-          "serial reference not VIOLATED: %s", line.c_str());
-    canon_len = json_num_field(line, "trace_len");
-    CHECK(canon_len > 0, "serial reference has no trace: %s", line.c_str());
-
-    for (int seed : {1, 2}) {
-      const std::string id = "swarm-" + std::to_string(seed);
-      CHECK(conn.write_line("{" + pinned_job +
-                                ",\"engine\":\"swarm\",\"seed\":" +
-                                std::to_string(seed) + ",\"id\":\"" + id +
-                                "\"}",
-                            5'000) == Io::kOk,
-            "swarm write failed (seed %d)", seed);
-      CHECK(conn.read_line(&line, 120'000) == Io::kOk,
-            "no swarm answer (seed %d)", seed);
-      CHECK(json_str_field(line, "id") == id, "swarm answer id mismatch: %s",
-            line.c_str());
-      CHECK(json_str_field(line, "verdict") == "VIOLATED",
-            "swarm (seed %d) not VIOLATED: %s", seed, line.c_str());
-      const long long swarm_len = json_num_field(line, "trace_len");
-      CHECK(swarm_len == canon_len,
-            "swarm (seed %d) trace_len %lld != serial canonical %lld", seed,
-            swarm_len, canon_len);
-    }
-    std::fprintf(stderr, "swarm: canonical trace_len %lld at both seeds\n",
-                 canon_len);
-  }
-
-  // ---- phase 7: SIGTERM drains and exits 0 ----------------------------
+  // ---- phase 6: SIGTERM drains and exits 0 ----------------------------
   kill(server, SIGTERM);
   int status = -1;
   const auto deadline = Clock::now() + std::chrono::seconds(60);
@@ -485,7 +419,7 @@ int main(int argc, char** argv) {
 
   // The final metrics dump accounts for everything this smoke did: bulk,
   // urgent, 3 fairness tenants, greedy + peer, the raw phase-5 socket,
-  // the post-drain client, and the raw swarm socket = 10 connections.
+  // and the post-drain client = 9 connections.
   {
     std::ifstream f(server_log);
     std::string log((std::istreambuf_iterator<char>(f)),
@@ -493,8 +427,8 @@ int main(int argc, char** argv) {
     CHECK(log.find("tta_verifyd listening on 127.0.0.1:") !=
               std::string::npos,
           "startup banner missing from server log");
-    CHECK(log.find("net: connections=10 ") != std::string::npos,
-          "expected 10 connections in metrics; log tail:\n%.400s",
+    CHECK(log.find("net: connections=9 ") != std::string::npos,
+          "expected 9 connections in metrics; log tail:\n%.400s",
           log.size() > 400 ? log.c_str() + log.size() - 400 : log.c_str());
     CHECK(log.find("malformed=1 drains=1") != std::string::npos,
           "expected one malformed request and one mid-stream drain");
